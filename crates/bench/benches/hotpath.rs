@@ -83,13 +83,13 @@ fn measure(
     updates: u64,
     run: impl FnOnce(),
 ) -> Measurement {
-    let before = stats.snapshot().global;
+    let before = stats.snapshot();
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
     run();
     let elapsed = start.elapsed();
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    let delta = stats.snapshot().global.delta(&before);
+    let delta = stats.snapshot().delta(&before);
     let m = Measurement {
         scenario,
         ops: updates,

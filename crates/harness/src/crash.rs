@@ -195,7 +195,7 @@ impl CrashExperiment {
             linearizability,
             recovered_value,
             crashed,
-            fence_totals: pool.stats().snapshot().global,
+            fence_totals: pool.stats().snapshot(),
             telemetry: telemetry.is_enabled().then(|| telemetry.snapshot()),
         }
     }

@@ -22,6 +22,7 @@ use crate::policy::PmemConfig;
 use crate::region::{CrashToken, CrashTrigger};
 use crate::stats::FenceStats;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A persistence substrate for [`crate::NvmPool`].
 ///
@@ -239,13 +240,16 @@ impl BackendSpec {
 ///
 /// Honors `ONLL_FILE_TEST_DIR` (CI points it at a tmpfs or a real disk in
 /// turn); defaults to the system temp dir. The directory is created, and is
-/// unique per label + process so concurrent test binaries do not collide.
+/// unique per call (process id plus a counter), so parallel tests never
+/// share one, even under the same label.
 pub fn scratch_dir(label: &str) -> Result<PathBuf, NvmError> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let base = match std::env::var_os("ONLL_FILE_TEST_DIR") {
         Some(dir) => PathBuf::from(dir),
         None => std::env::temp_dir(),
     };
-    let dir = base.join(format!("onll-{label}-{}", std::process::id()));
+    let dir = base.join(format!("onll-{label}-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| NvmError::Io {
         path: dir.display().to_string(),
         message: e.to_string(),
@@ -260,7 +264,7 @@ pub struct ScratchDir(PathBuf);
 
 impl ScratchDir {
     /// Creates (and owns) a scratch directory for `label`; see [`scratch_dir`]
-    /// for the location rules (`ONLL_FILE_TEST_DIR`, per-process uniqueness).
+    /// for the location rules (`ONLL_FILE_TEST_DIR`, per-call uniqueness).
     pub fn new(label: &str) -> Result<Self, NvmError> {
         scratch_dir(label).map(ScratchDir)
     }
@@ -337,5 +341,16 @@ mod tests {
         assert_ne!(a, b);
         let _ = std::fs::remove_dir_all(&a);
         let _ = std::fs::remove_dir_all(&b);
+
+        // The same label twice: distinct directories, and dropping one
+        // guard leaves the other in place.
+        let first = ScratchDir::new("unit-same").unwrap();
+        let second = ScratchDir::new("unit-same").unwrap();
+        assert_ne!(first.path(), second.path());
+        let kept = second.path().to_path_buf();
+        drop(first);
+        assert!(kept.is_dir(), "dropping a sibling removed {kept:?}");
+        drop(second);
+        assert!(!kept.exists());
     }
 }

@@ -33,6 +33,7 @@
 //! and form the next batch — natural group commit, no dedicated writer
 //! thread.
 
+use crate::cache::Line;
 use crate::error::NvmError;
 use crate::fault::{self, AbortPoint, FaultPlan, FsyncFault, PwriteFault};
 use crate::layout::CACHE_LINE_SIZE;
@@ -44,9 +45,6 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
-
-/// Contents of one cache line, captured at flush time.
-pub(crate) type Line = [u8; CACHE_LINE_SIZE];
 
 const DEV_MAGIC: u64 = 0x4F4E4C4C_44455631; // "ONLL" "DEV1"
 const HEADER_SIZE: u64 = 4096;

@@ -43,19 +43,19 @@
 
 use crate::armed::{ArmedCrash, ArmedKind};
 use crate::backend::PmemBackend;
-use crate::device::{sync_file, write_lines_at, Line, PersistDevice, Poison};
+use crate::cache::Line;
+use crate::device::{sync_file, write_lines_at, PersistDevice, Poison};
 use crate::error::NvmError;
 use crate::fault::{self, AbortPoint, FaultPlan};
 use crate::layout::{line_range, PAddr, CACHE_LINE_SIZE};
+use crate::pending::PendingFlushes;
 use crate::policy::{PmemConfig, WritebackPolicy};
 use crate::region::{CrashToken, CrashTrigger};
 use crate::stats::FenceStats;
-use crate::thread_slot::{current_thread_slot, MAX_THREAD_SLOTS};
 use onll_telemetry::Histogram;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -105,12 +105,11 @@ pub struct FileBackend {
     /// process death; rebuilt from the file by [`FileBackend::open`].
     image: RwLock<Box<[u8]>>,
     /// Per-thread pending flushes: line index -> contents captured at flush.
-    pending: Box<[Mutex<HashMap<u64, Line>>]>,
+    pending: PendingFlushes,
     stats: FenceStats,
     frozen: AtomicBool,
     armed: ArmedCrash,
     eviction_rng: Mutex<StdRng>,
-    crash_rng: Mutex<StdRng>,
     crash_count: Mutex<u64>,
     /// Device work of a persistent fence — pwrites + fsync, measured *after*
     /// the file lock is held ("file.fence_ns"). Lock-wait is deliberately
@@ -221,10 +220,6 @@ impl FileBackend {
     }
 
     fn from_parts(path: PathBuf, store: Store, image: Box<[u8]>, cfg: PmemConfig) -> Self {
-        let pending = (0..MAX_THREAD_SLOTS)
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         let eviction_seed = match cfg.policy {
             WritebackPolicy::RandomEviction { seed, .. } => seed,
             _ => cfg.crash_seed ^ 0x9E3779B97F4A7C15,
@@ -236,12 +231,11 @@ impl FileBackend {
             path,
             store,
             image: RwLock::new(image),
-            pending,
+            pending: PendingFlushes::new(cfg.crash_seed),
             stats: FenceStats::new(),
             frozen: AtomicBool::new(false),
             armed: ArmedCrash::new(),
             eviction_rng: Mutex::new(StdRng::seed_from_u64(eviction_seed)),
-            crash_rng: Mutex::new(StdRng::seed_from_u64(cfg.crash_seed)),
             crash_count: Mutex::new(0),
             fence_hist: cfg.telemetry.histogram("file.fence_ns"),
             fsync_hist: cfg.telemetry.histogram("file.fsync_ns"),
@@ -477,30 +471,18 @@ impl PmemBackend for FileBackend {
         if self.is_frozen() || len == 0 {
             return;
         }
-        let slot = current_thread_slot();
-        let mut lines = 0u64;
-        {
-            let mut pending = self.pending[slot].lock();
-            for line in line_range(addr, len) {
-                // Capture at flush time: stores issued after this flush must
-                // not ride along (contract item 2).
-                pending.insert(line, self.snapshot_line(line));
-                lines += 1;
-            }
-        }
-        self.stats.record_flush(lines);
+        // Capture at flush time: stores issued after this flush must not ride
+        // along (contract item 2).
+        let captured: Vec<(u64, Line)> = line_range(addr, len)
+            .map(|line| (line, self.snapshot_line(line)))
+            .collect();
+        self.pending
+            .with_mine(|pending| pending.extend(captured.iter().copied()));
+        self.stats.record_flush(captured.len() as u64);
         if matches!(self.cfg.policy, WritebackPolicy::EagerOnFlush) {
             // The asynchronous write-back completes immediately (no fsync);
             // the pending set is kept so the next fence counts as persistent.
-            let to_write: Vec<(u64, Line)> = {
-                let pending = self.pending[slot].lock();
-                let mut v: Vec<(u64, Line)> = line_range(addr, len)
-                    .filter_map(|l| pending.get(&l).map(|c| (l, *c)))
-                    .collect();
-                v.sort_unstable_by_key(|(l, _)| *l);
-                v
-            };
-            self.write_back(&to_write);
+            self.write_back(&captured);
         }
         self.armed.tick(ArmedKind::Flushes, || {
             let _ = self.crash();
@@ -516,11 +498,7 @@ impl PmemBackend for FileBackend {
             // than pretending the new bytes could become durable.
             return Err(e);
         }
-        let slot = current_thread_slot();
-        let mut drained: Vec<(u64, Line)> = {
-            let mut pending = self.pending[slot].lock();
-            pending.drain().collect()
-        };
+        let mut drained: Vec<(u64, Line)> = self.pending.with_mine(|p| p.drain().collect());
         drained.sort_unstable_by_key(|(l, _)| *l);
         let persistent = !drained.is_empty();
         let lines = drained.len() as u64;
@@ -538,21 +516,10 @@ impl PmemBackend for FileBackend {
         // Freeze first so concurrent operations stop having effects while we
         // settle the durable image.
         self.frozen.store(true, Ordering::SeqCst);
-        let prob = self.cfg.apply_pending_at_crash_probability.clamp(0.0, 1.0);
-        let mut applied: Vec<(u64, Line)> = Vec::new();
-        {
-            let mut rng = self.crash_rng.lock();
-            for slot_pending in self.pending.iter() {
-                let mut pending = slot_pending.lock();
-                for (line, contents) in pending.drain() {
-                    if prob >= 1.0 || (prob > 0.0 && rng.gen_bool(prob)) {
-                        applied.push((line, contents));
-                    }
-                }
-            }
-        }
+        let applied = self
+            .pending
+            .drain_at_crash(self.cfg.apply_pending_at_crash_probability);
         if !applied.is_empty() {
-            applied.sort_unstable_by_key(|(l, _)| *l);
             self.settle_now(&applied);
         }
         self.stats.record_crash();
@@ -614,7 +581,7 @@ impl PmemBackend for FileBackend {
     }
 
     fn my_pending_flushes(&self) -> usize {
-        self.pending[current_thread_slot()].lock().len()
+        self.pending.with_mine(|pending| pending.len())
     }
 }
 

@@ -24,6 +24,11 @@
 //!    [`WritebackPolicy`] — e.g. under [`WritebackPolicy::OnlyOnFence`] nothing is
 //!    durable unless it was explicitly flushed *and* fenced.
 //!
+//! Each OS thread is one of the paper's processes. Its pending flushes and
+//! [`FenceStats`] counters live in `onll-telemetry`'s per-thread slots, which
+//! are recycled at thread exit and shared beyond 256 live threads (counters
+//! stay exact sums; pending flushes are keyed by the issuing thread).
+//!
 //! The main entry points are [`NvmPool`] (a region plus a persistent allocator and
 //! named roots that survive crashes) and [`NvmRegion`] (raw load/store/flush/fence).
 //!
@@ -51,11 +56,11 @@ mod error;
 mod fault;
 mod file;
 mod layout;
+mod pending;
 mod policy;
 mod pool;
 mod region;
 mod stats;
-mod thread_slot;
 
 pub use backend::{scratch_dir, BackendSpec, PmemBackend, ScratchDir};
 pub use cell::{PBytes, PU32, PU64};
@@ -67,8 +72,7 @@ pub use layout::{line_index, line_offset, line_range, PAddr, CACHE_LINE_SIZE};
 pub use policy::{PmemConfig, WritebackPolicy};
 pub use pool::{NvmPool, RootId, MAX_ROOTS};
 pub use region::{CrashToken, CrashTrigger, NvmRegion};
-pub use stats::{FenceStats, MaintenanceScope, OpWindow, StatsSnapshot, ThreadStatsSnapshot};
-pub use thread_slot::{current_thread_slot, MAX_THREAD_SLOTS};
+pub use stats::{FenceStats, MaintenanceScope, OpWindow, ThreadStatsSnapshot};
 
 pub use onll_telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Telemetry, TelemetrySnapshot,

@@ -2,14 +2,14 @@
 
 use crate::armed::{ArmedCrash, ArmedKind};
 use crate::backend::PmemBackend;
-use crate::cache::{LineMap, ShardedMemory};
+use crate::cache::ShardedMemory;
 use crate::device::Poison;
 use crate::error::NvmError;
 use crate::fault::{self, FsyncFault, PwriteFault};
 use crate::layout::{line_range, PAddr};
+use crate::pending::PendingFlushes;
 use crate::policy::{PmemConfig, WritebackPolicy};
 use crate::stats::FenceStats;
-use crate::thread_slot::{current_thread_slot, MAX_THREAD_SLOTS};
 use onll_telemetry::Histogram;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -52,9 +52,6 @@ impl CrashToken {
     }
 }
 
-/// One thread's pending flushes: line index -> contents captured at flush time.
-type PendingFlushes = Mutex<LineMap>;
-
 /// A simulated byte-addressable persistent-memory region.
 ///
 /// All accesses follow the paper's model (Section 2.1):
@@ -71,7 +68,7 @@ pub struct NvmRegion {
     memory: ShardedMemory,
     stats: FenceStats,
     /// Per-thread pending flushes: line -> contents captured at flush time.
-    pending: Box<[PendingFlushes]>,
+    pending: PendingFlushes,
     /// When true, the machine has "lost power": all subsequent persistence
     /// operations are ignored (the issuing instructions never happened).
     frozen: AtomicBool,
@@ -82,7 +79,6 @@ pub struct NvmRegion {
     /// taken when a non-zero `fence_penalty` is configured.
     persist_queue: Mutex<()>,
     eviction_rng: Mutex<StdRng>,
-    crash_rng: Mutex<StdRng>,
     crash_count: Mutex<u64>,
     /// Set by a permanent injected fault: later fallible fences fail fast
     /// with the original cause, mirroring the file backend's poisoning.
@@ -98,10 +94,6 @@ pub struct NvmRegion {
 impl NvmRegion {
     /// Creates a fresh region with the given configuration. All bytes read as zero.
     pub fn new(cfg: PmemConfig) -> Self {
-        let pending = (0..MAX_THREAD_SLOTS)
-            .map(|_| Mutex::new(LineMap::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         let eviction_seed = match cfg.policy {
             WritebackPolicy::RandomEviction { seed, .. } => seed,
             _ => cfg.crash_seed ^ 0x9E3779B97F4A7C15,
@@ -109,11 +101,10 @@ impl NvmRegion {
         cfg.fault_plan.bind_telemetry(&cfg.telemetry);
         NvmRegion {
             eviction_rng: Mutex::new(StdRng::seed_from_u64(eviction_seed)),
-            crash_rng: Mutex::new(StdRng::seed_from_u64(cfg.crash_seed)),
             poison: Poison::default(),
             memory: ShardedMemory::new(),
             stats: FenceStats::new(),
-            pending,
+            pending: PendingFlushes::new(cfg.crash_seed),
             frozen: AtomicBool::new(false),
             armed: ArmedCrash::new(),
             persist_queue: Mutex::new(()),
@@ -235,20 +226,18 @@ impl NvmRegion {
         if !self.cfg.flush_penalty.is_zero() {
             spin_for(self.cfg.flush_penalty);
         }
-        let slot = current_thread_slot();
-        let mut lines = 0u64;
-        {
-            let mut pending = self.pending[slot].lock();
+        let lines = self.pending.with_mine(|pending| {
+            // Capture the value the asynchronous write-back would persist. On
+            // real hardware a clwb writes back the line contents at some point
+            // between the flush and the next fence; capturing at flush time is
+            // the *minimal* (most adversarial) guarantee.
+            let mut lines = 0u64;
             for line in line_range(addr, len) {
-                // Capture the value the asynchronous write-back would persist. On
-                // real hardware a clwb writes back the line contents at some point
-                // between the flush and the next fence; capturing at flush time is
-                // the *minimal* (most adversarial) guarantee.
-                let snapshot = self.memory.snapshot_line(line);
-                pending.insert(line, snapshot);
+                pending.insert(line, self.memory.snapshot_line(line));
                 lines += 1;
             }
-        }
+            lines
+        });
         self.stats.record_flush(lines);
         if matches!(self.cfg.policy, WritebackPolicy::EagerOnFlush) {
             // Model the asynchronous write-back completing immediately. The pending
@@ -292,14 +281,11 @@ impl NvmRegion {
         if let Some(e) = self.poison.get() {
             return Err(e);
         }
-        let slot = current_thread_slot();
         let fence_timer = self.fence_hist.start_timer();
         let mut fault: Result<(), NvmError> = Ok(());
-        let (persistent, lines) = {
-            // Write-backs are applied while holding the (per-thread,
-            // uncontended) pending lock; `flush` and `crash` take the same
-            // pending-then-shard lock order.
-            let mut pending = self.pending[slot].lock();
+        // Write-backs are applied while holding the (per-thread, uncontended)
+        // pending lock; `flush` takes the same pending-then-shard lock order.
+        let (persistent, lines) = self.pending.with_mine(|pending| {
             let lines = pending.len() as u64;
             if !self.cfg.fault_plan.is_armed() {
                 for (line, contents) in pending.drain() {
@@ -342,7 +328,7 @@ impl NvmRegion {
                 }
             }
             (lines > 0, lines)
-        };
+        });
         if let Err(e) = fault {
             if !fault::error_is_transient(&e) {
                 self.poison.set(&e);
@@ -385,17 +371,10 @@ impl NvmRegion {
         // Freeze first so concurrent operations stop having effects while we build
         // the durable image.
         self.frozen.store(true, Ordering::SeqCst);
-        let prob = self.cfg.apply_pending_at_crash_probability.clamp(0.0, 1.0);
-        let mut rng = self.crash_rng.lock();
-        for slot_pending in self.pending.iter() {
-            let mut pending = slot_pending.lock();
-            for (line, contents) in pending.drain() {
-                if prob >= 1.0 || (prob > 0.0 && rng.gen_bool(prob)) {
-                    self.memory.write_back(line, &contents);
-                }
-            }
+        let prob = self.cfg.apply_pending_at_crash_probability;
+        for (line, contents) in self.pending.drain_at_crash(prob) {
+            self.memory.write_back(line, &contents);
         }
-        drop(rng);
         self.memory.drop_cache();
         self.stats.record_crash();
         let mut count = self.crash_count.lock();
@@ -434,7 +413,7 @@ impl NvmRegion {
 
     /// Number of flushes issued by the calling thread that have not been fenced yet.
     pub fn my_pending_flushes(&self) -> usize {
-        self.pending[current_thread_slot()].lock().len()
+        self.pending.with_mine(|pending| pending.len())
     }
 }
 

@@ -6,17 +6,18 @@
 //! fences globally and per thread, and [`OpWindow`] provides scoped deltas so tests
 //! and benchmarks can assert *per-operation* bounds such as "at most one persistent
 //! fence per update, zero per read" (Theorem 5.1).
+//!
+//! Per-thread counts live in `onll-telemetry`'s recycled slots ([`PerSlot`]),
+//! exact per thread ([`OpWindow`], [`FenceStats::my_persistent_fences`]) up to
+//! 256 live threads. Beyond that threads share slots: totals stay exact and
+//! per-thread views also count the sharers' events.
 
-use crate::thread_slot::{current_thread_slot, MAX_THREAD_SLOTS};
+use onll_telemetry::{current_slot, PerSlot};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One thread's counters, alignment-padded so adjacent thread slots never
-/// share a cache line: every `record_*` on the hot path touches only the
-/// calling thread's own line, making the accounting contention-free. Global
-/// totals are *derived* by summing the slots on the (rare) read side instead
-/// of being maintained as shared atomics the write side would ping-pong.
+/// One slot's counters: `record_*` writes only the caller's padded slot, and
+/// totals are summed over slots on the (rare) read side.
 #[derive(Default)]
-#[repr(align(128))]
 struct Counters {
     stores: AtomicU64,
     stored_bytes: AtomicU64,
@@ -28,6 +29,10 @@ struct Counters {
     maintenance_fences: AtomicU64,
     writebacks: AtomicU64,
     crashes: AtomicU64,
+    /// Lease of the thread whose persistent fences this slot last counted, and
+    /// the count before its first one (a slot keeps exited holders' counts).
+    holder: AtomicU64,
+    holder_base: AtomicU64,
 }
 
 impl Counters {
@@ -138,40 +143,6 @@ impl ThreadStatsSnapshot {
     }
 }
 
-/// Full snapshot: global totals plus per-thread counters.
-#[derive(Debug, Clone, Default)]
-pub struct StatsSnapshot {
-    /// Global totals across all threads.
-    pub global: ThreadStatsSnapshot,
-    /// Per-thread counters, indexed by thread slot. Only slots that touched the
-    /// simulator appear.
-    pub per_thread: Vec<(usize, ThreadStatsSnapshot)>,
-}
-
-impl StatsSnapshot {
-    /// Component-wise difference `self - earlier` for the global counters.
-    pub fn global_delta(&self, earlier: &StatsSnapshot) -> ThreadStatsSnapshot {
-        self.global.delta(&earlier.global)
-    }
-
-    /// Returns the delta for a specific thread slot (zero if absent from either).
-    pub fn thread_delta(&self, earlier: &StatsSnapshot, slot: usize) -> ThreadStatsSnapshot {
-        let now = self
-            .per_thread
-            .iter()
-            .find(|(s, _)| *s == slot)
-            .map(|(_, c)| *c)
-            .unwrap_or_default();
-        let before = earlier
-            .per_thread
-            .iter()
-            .find(|(s, _)| *s == slot)
-            .map(|(_, c)| *c)
-            .unwrap_or_default();
-        now.delta(&before)
-    }
-}
-
 /// Shared persistence-event counters for one simulated NVM region.
 ///
 /// Writes land only in the calling thread's padded slot (contention-free);
@@ -179,57 +150,52 @@ impl StatsSnapshot {
 /// *eventually exact*: a sum concurrent with recording may miss in-flight
 /// increments, which is the same guarantee the old relaxed global counters
 /// gave.
+#[derive(Default)]
 pub struct FenceStats {
-    per_thread: Box<[Counters]>,
-}
-
-impl Default for FenceStats {
-    fn default() -> Self {
-        Self::new()
-    }
+    slots: PerSlot<Counters>,
 }
 
 impl FenceStats {
     /// Creates a fresh set of counters.
     pub fn new() -> Self {
-        let per_thread = (0..MAX_THREAD_SLOTS)
-            .map(|_| Counters::default())
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        FenceStats { per_thread }
-    }
-
-    fn me(&self) -> &Counters {
-        &self.per_thread[current_thread_slot()]
+        Self::default()
     }
 
     fn sum(&self, field: impl Fn(&Counters) -> &AtomicU64) -> u64 {
-        self.per_thread
+        self.slots
             .iter()
             .map(|c| field(c).load(Ordering::Relaxed))
             .sum()
     }
 
     pub(crate) fn record_store(&self, bytes: usize) {
-        let me = self.me();
+        let me = self.slots.mine();
         me.stores.fetch_add(1, Ordering::Relaxed);
         me.stored_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_load(&self) {
-        self.me().loads.fetch_add(1, Ordering::Relaxed);
+        self.slots.mine().loads.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_flush(&self, lines: u64) {
-        let me = self.me();
+        let me = self.slots.mine();
         me.flushes.fetch_add(1, Ordering::Relaxed);
         me.flushed_lines.fetch_add(lines, Ordering::Relaxed);
     }
 
     pub(crate) fn record_fence(&self, persistent: bool, lines_drained: u64) {
-        let me = self.me();
+        let slot = current_slot();
+        let me = self.slots.get(slot.index);
         me.fences.fetch_add(1, Ordering::Relaxed);
         if persistent {
+            if me.holder.load(Ordering::Relaxed) != slot.lease {
+                me.holder_base.store(
+                    me.persistent_fences.load(Ordering::Relaxed),
+                    Ordering::Relaxed,
+                );
+                me.holder.store(slot.lease, Ordering::Relaxed);
+            }
             me.persistent_fences.fetch_add(1, Ordering::Relaxed);
             if MAINTENANCE_DEPTH.with(|d| d.get()) > 0 {
                 me.maintenance_fences.fetch_add(1, Ordering::Relaxed);
@@ -241,11 +207,14 @@ impl FenceStats {
     }
 
     pub(crate) fn record_writeback(&self, lines: u64) {
-        self.me().writebacks.fetch_add(lines, Ordering::Relaxed);
+        self.slots
+            .mine()
+            .writebacks
+            .fetch_add(lines, Ordering::Relaxed);
     }
 
     pub(crate) fn record_crash(&self) {
-        self.me().crashes.fetch_add(1, Ordering::Relaxed);
+        self.slots.mine().crashes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total number of persistent fences across all threads.
@@ -289,46 +258,39 @@ impl FenceStats {
         self.sum(|c| &c.crashes)
     }
 
-    /// Persistent fences issued by the *calling* thread.
+    /// Persistent fences issued by the *calling* thread (exact while it owns
+    /// its slot; see the module docs).
     pub fn my_persistent_fences(&self) -> u64 {
-        self.me().persistent_fences.load(Ordering::Relaxed)
+        let slot = current_slot();
+        let me = self.slots.get(slot.index);
+        if me.holder.load(Ordering::Relaxed) == slot.lease {
+            // Saturating: a sharer of the slot may rebase it concurrently.
+            me.persistent_fences
+                .load(Ordering::Relaxed)
+                .saturating_sub(me.holder_base.load(Ordering::Relaxed))
+        } else {
+            0
+        }
     }
 
-    /// Persistent fences issued by a specific thread slot.
-    pub fn persistent_fences_of(&self, slot: usize) -> u64 {
-        self.per_thread[slot]
-            .persistent_fences
-            .load(Ordering::Relaxed)
-    }
-
-    /// Takes a full snapshot of all counters. The global totals are the sum of
-    /// the per-thread counters at snapshot time.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let mut global = ThreadStatsSnapshot::default();
-        let per_thread = self
-            .per_thread
+    /// Takes a snapshot of the global totals: the sum of every slot's
+    /// counters at snapshot time.
+    pub fn snapshot(&self) -> ThreadStatsSnapshot {
+        self.slots
             .iter()
-            .enumerate()
-            .filter_map(|(slot, c)| {
-                let snap = c.snapshot();
-                if snap == ThreadStatsSnapshot::default() {
-                    None
-                } else {
-                    global = global.merge(&snap);
-                    Some((slot, snap))
-                }
+            .fold(ThreadStatsSnapshot::default(), |acc, c| {
+                acc.merge(&c.snapshot())
             })
-            .collect();
-        StatsSnapshot { global, per_thread }
     }
 
     /// Opens a scoped window over the *calling thread's* counters; the window's
     /// [`OpWindow::close`] returns what happened between open and close.
     pub fn op_window(&self) -> OpWindow<'_> {
+        let slot = current_slot().index;
         OpWindow {
             stats: self,
-            slot: current_thread_slot(),
-            start: self.per_thread[current_thread_slot()].snapshot(),
+            slot,
+            start: self.slots.get(slot).snapshot(),
         }
     }
 }
@@ -371,13 +333,12 @@ pub struct OpWindow<'a> {
 impl OpWindow<'_> {
     /// Closes the window and returns the per-thread delta since it was opened.
     pub fn close(self) -> ThreadStatsSnapshot {
-        let end = self.stats.per_thread[self.slot].snapshot();
-        end.delta(&self.start)
+        self.peek()
     }
 
     /// Peeks at the delta without consuming the window.
     pub fn peek(&self) -> ThreadStatsSnapshot {
-        let end = self.stats.per_thread[self.slot].snapshot();
+        let end = self.stats.slots.get(self.slot).snapshot();
         end.delta(&self.start)
     }
 }
@@ -398,19 +359,13 @@ mod tests {
     #[test]
     fn record_store_updates_global_and_thread() {
         let s = FenceStats::new();
+        let w = s.op_window();
         s.record_store(16);
         s.record_store(8);
         let snap = s.snapshot();
-        assert_eq!(snap.global.stores, 2);
-        assert_eq!(snap.global.stored_bytes, 24);
-        let slot = current_thread_slot();
-        let mine = snap
-            .per_thread
-            .iter()
-            .find(|(s, _)| *s == slot)
-            .map(|(_, c)| *c)
-            .unwrap();
-        assert_eq!(mine.stores, 2);
+        assert_eq!(snap.stores, 2);
+        assert_eq!(snap.stored_bytes, 24);
+        assert_eq!(w.close().stores, 2);
     }
 
     #[test]
@@ -420,7 +375,7 @@ mod tests {
         s.record_fence(true, 3);
         assert_eq!(s.fences(), 2);
         assert_eq!(s.persistent_fences(), 1);
-        assert_eq!(s.snapshot().global.writebacks, 3);
+        assert_eq!(s.snapshot().writebacks, 3);
     }
 
     #[test]
@@ -523,7 +478,7 @@ mod tests {
         s.record_fence(true, 0);
         assert_eq!(s.persistent_fences(), 4);
         assert_eq!(s.maintenance_fences(), 2);
-        let snap = s.snapshot().global;
+        let snap = s.snapshot();
         assert_eq!(snap.maintenance_fences, 2);
         assert_eq!(snap.inherent_fences(), 2);
     }
@@ -541,10 +496,19 @@ mod tests {
     }
 
     #[test]
-    fn thread_delta_for_missing_slot_is_zero() {
-        let s = FenceStats::new();
-        let a = s.snapshot();
-        let b = s.snapshot();
-        assert_eq!(b.thread_delta(&a, 200), ThreadStatsSnapshot::default());
+    fn my_persistent_fences_restart_at_zero_for_a_slot_s_next_thread() {
+        let s = std::sync::Arc::new(FenceStats::new());
+        // Successive threads may lease the same slot; each sees only its own.
+        for expected_total in 1..=20 {
+            let s2 = s.clone();
+            std::thread::spawn(move || {
+                assert_eq!(s2.my_persistent_fences(), 0);
+                s2.record_fence(true, 0);
+                assert_eq!(s2.my_persistent_fences(), 1);
+            })
+            .join()
+            .unwrap();
+            assert_eq!(s.persistent_fences(), expected_total);
+        }
     }
 }

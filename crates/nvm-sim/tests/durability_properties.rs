@@ -114,7 +114,7 @@ proptest! {
                 }
             }
         }
-        let delta = pool.stats().snapshot().global_delta(&before);
+        let delta = pool.stats().snapshot().delta(&before);
         prop_assert_eq!(delta.fences, expected_fences);
         prop_assert_eq!(delta.persistent_fences, expected_persistent);
     }

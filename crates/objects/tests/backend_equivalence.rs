@@ -14,9 +14,6 @@ use durable_objects::{
 use nvm_sim::{BackendSpec, CrashTrigger, NvmPool, PmemConfig, ScratchDir};
 use onll::{replay, Durable, OnllConfig, OpId, SnapshotSpec};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static UNIQUE: AtomicU64 = AtomicU64::new(0);
 
 /// What one backend's run + crash + recovery observed.
 #[derive(Debug, PartialEq)]
@@ -79,8 +76,7 @@ where
 
     let sim = drive::<S>(NvmPool::new(pmem()), ops, crash_after_events);
 
-    let unique = UNIQUE.fetch_add(1, Ordering::Relaxed);
-    let dir = ScratchDir::new(&format!("xb-eq-{unique}")).unwrap();
+    let dir = ScratchDir::new("xb-eq").unwrap();
     let spec = BackendSpec::file(dir.path());
     let pool = NvmPool::provision(&spec, pmem(), "xb").unwrap();
     let file = drive::<S>(pool, ops, crash_after_events);

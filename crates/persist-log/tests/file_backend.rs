@@ -9,13 +9,9 @@
 use nvm_sim::{BackendSpec, CrashTrigger, NvmPool, PmemConfig, ScratchDir};
 use persist_log::{LogConfig, PersistentLog};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static UNIQUE: AtomicU64 = AtomicU64::new(0);
 
 fn file_pool(label: &str) -> (NvmPool, BackendSpec, ScratchDir) {
-    let unique = UNIQUE.fetch_add(1, Ordering::Relaxed);
-    let dir = ScratchDir::new(&format!("plog-{label}-{unique}")).unwrap();
+    let dir = ScratchDir::new(&format!("plog-{label}")).unwrap();
     let spec = BackendSpec::file(dir.path());
     let pool = NvmPool::provision(
         &spec,

@@ -39,8 +39,7 @@ impl<'a> AggregateWindow<'a> {
 
 /// Merged global counters (all threads) across a set of pools.
 pub fn merged_global_stats(pools: &[NvmPool]) -> ThreadStatsSnapshot {
-    let globals: Vec<ThreadStatsSnapshot> =
-        pools.iter().map(|p| p.stats().snapshot().global).collect();
+    let globals: Vec<ThreadStatsSnapshot> = pools.iter().map(|p| p.stats().snapshot()).collect();
     ThreadStatsSnapshot::merge_all(globals.iter())
 }
 

@@ -1,4 +1,4 @@
-//! Log-bucketed histograms with cache-line-padded per-thread slots.
+//! Log-bucketed histograms recorded into per-thread slots ([`PerSlot`]).
 //!
 //! Buckets are powers of two: bucket `i` (for `i >= 1`) holds values `v` with
 //! `2^(i-1) <= v < 2^i`; bucket 0 holds exactly zero. Recording touches only
@@ -8,7 +8,7 @@
 //! bucket resolution (a factor of two), which is the right fidelity for
 //! latency distributions spanning nanoseconds to milliseconds.
 
-use crate::slot::{telemetry_thread_slot, MAX_TELEMETRY_SLOTS};
+use crate::slot::PerSlot;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets: bucket 0 for zero, buckets 1..=64 for each bit
@@ -31,10 +31,8 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     }
 }
 
-/// One thread's private view of a histogram, padded to its own cache lines so
-/// recording never contends with other threads.
-#[repr(align(128))]
-struct HistSlot {
+/// One slot's view of a histogram.
+pub(crate) struct HistSlot {
     buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -53,22 +51,12 @@ impl Default for HistSlot {
 }
 
 /// The shared core of a named histogram; handles hold it behind an `Arc`.
-pub(crate) struct HistogramCore {
-    per_thread: Box<[HistSlot]>,
-}
+pub(crate) type HistogramCore = PerSlot<HistSlot>;
 
 impl HistogramCore {
-    pub(crate) fn new() -> Self {
-        HistogramCore {
-            per_thread: (0..MAX_TELEMETRY_SLOTS)
-                .map(|_| HistSlot::default())
-                .collect(),
-        }
-    }
-
     #[inline]
     pub(crate) fn record(&self, value: u64) {
-        let slot = &self.per_thread[telemetry_thread_slot()];
+        let slot = self.mine();
         slot.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         slot.count.fetch_add(1, Ordering::Relaxed);
         slot.sum.fetch_add(value, Ordering::Relaxed);
@@ -81,7 +69,7 @@ impl HistogramCore {
         let mut count = 0;
         let mut sum = 0u64;
         let mut max = 0;
-        for slot in self.per_thread.iter() {
+        for slot in self.iter() {
             if slot.count.load(Ordering::Relaxed) == 0 {
                 continue;
             }
@@ -204,7 +192,7 @@ mod tests {
 
     #[test]
     fn record_and_quantiles() {
-        let core = HistogramCore::new();
+        let core = HistogramCore::default();
         for v in 1..=100u64 {
             core.record(v);
         }
@@ -221,7 +209,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_zeroed() {
-        let snap = HistogramCore::new().snapshot("e");
+        let snap = HistogramCore::default().snapshot("e");
         assert_eq!(snap.count, 0);
         assert_eq!(snap.p50(), 0);
         assert_eq!(snap.mean(), 0.0);
@@ -229,7 +217,7 @@ mod tests {
 
     #[test]
     fn cross_thread_records_merge() {
-        let core = std::sync::Arc::new(HistogramCore::new());
+        let core = std::sync::Arc::new(HistogramCore::default());
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let c = core.clone();
@@ -250,8 +238,8 @@ mod tests {
 
     #[test]
     fn merge_combines_distributions() {
-        let a = HistogramCore::new();
-        let b = HistogramCore::new();
+        let a = HistogramCore::default();
+        let b = HistogramCore::default();
         a.record(10);
         b.record(1000);
         let mut sa = a.snapshot("x");

@@ -29,8 +29,8 @@
 //! * [`Gauge`] — a single last-written value (`store`), for quantities that
 //!   are already global (bytes live in a log, etc.).
 //! * [`Histogram`] — log2-bucketed distribution with per-thread padded slots
-//!   (the same pattern nvm-sim's `FenceStats` uses), merged on snapshot;
-//!   reports count/sum/max and p50/p90/p99 at power-of-two resolution.
+//!   (a [`PerSlot`], as for counters and nvm-sim's `FenceStats`), merged on
+//!   snapshot; reports count/sum/max and p50/p90/p99 at power-of-two resolution.
 //!
 //! ## What the stack records (when enabled)
 //!
@@ -54,48 +54,17 @@ mod slot;
 mod snapshot;
 
 pub use hist::{bucket_index, bucket_upper_bound, HistogramSnapshot, NUM_BUCKETS};
-pub use slot::{telemetry_thread_slot, MAX_TELEMETRY_SLOTS};
+pub use slot::{current_slot, PerSlot, ThreadSlot, MAX_SLOTS};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, TelemetrySnapshot};
 
 use hist::HistogramCore;
-use slot::telemetry_thread_slot as thread_slot;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One thread's padded counter cell.
-#[derive(Default)]
-#[repr(align(128))]
-struct PaddedCell(AtomicU64);
-
-struct CounterCore {
-    per_thread: Box<[PaddedCell]>,
-}
-
-impl CounterCore {
-    fn new() -> Self {
-        CounterCore {
-            per_thread: (0..MAX_TELEMETRY_SLOTS)
-                .map(|_| PaddedCell::default())
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn add(&self, n: u64) {
-        self.per_thread[thread_slot()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn sum(&self) -> u64 {
-        self.per_thread
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
+/// The shared core of a named counter: one atomic sum per slot.
+type CounterCore = PerSlot<AtomicU64>;
 
 /// A monotone counter handle. No-op when its [`Telemetry`] is disabled.
 #[derive(Clone, Default)]
@@ -119,7 +88,7 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(core) = &self.core {
-            core.add(n);
+            core.mine().fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -286,7 +255,7 @@ impl Telemetry {
                     .lock()
                     .unwrap()
                     .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(CounterCore::new()))
+                    .or_insert_with(Default::default)
                     .clone()
             }),
         }
@@ -300,7 +269,7 @@ impl Telemetry {
                     .lock()
                     .unwrap()
                     .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0)))
+                    .or_insert_with(Default::default)
                     .clone()
             }),
         }
@@ -314,7 +283,7 @@ impl Telemetry {
                     .lock()
                     .unwrap()
                     .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(HistogramCore::new()))
+                    .or_insert_with(Default::default)
                     .clone()
             }),
         }
@@ -334,7 +303,7 @@ impl Telemetry {
                 .iter()
                 .map(|(name, core)| CounterSnapshot {
                     name: name.clone(),
-                    value: core.sum(),
+                    value: core.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
                 })
                 .collect(),
             gauges: reg

@@ -8,6 +8,7 @@
 //! * a client that disconnects mid-request and retries on a fresh connection
 //!   using resolve + replay-under-the-same-identity (exactly-once),
 //! * session slot reuse after disconnects,
+//! * a long run of short-lived connections (one handler thread each),
 //! * fence accounting visible through `STATS`.
 
 use remembering_consistently::nvm::ScratchDir;
@@ -15,6 +16,8 @@ use remembering_consistently::objects::KvValue;
 use remembering_consistently::server::{RetryOutcome, WireClient};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 const SERVER_BIN: &str = env!("CARGO_BIN_EXE_onll_server");
 
@@ -239,5 +242,48 @@ fn server_kill9_restart_replays_unacked_identity_exactly_once() {
             .expect("re-resolve"),
         RetryOutcome::Executed(KvValue::Value(None))
     );
+    server.kill();
+}
+
+/// The server runs one handler thread per connection, and each handler
+/// flushes and fences on the shard pools. A long run of short-lived
+/// connections must keep being served: per-thread state is recycled when a
+/// handler exits, so the number of connections over the server's lifetime
+/// has no cap.
+#[test]
+fn thousand_sequential_connections_are_all_served() {
+    let dir = ScratchDir::new("server-many-conns").unwrap();
+    let clients = 4;
+    let server = ServerProcess::spawn(dir.path(), 2, clients);
+    let conns: u32 = 1000;
+    let addr = server.addr.clone();
+    let (done, finished) = mpsc::channel();
+    let clients_loop = std::thread::spawn(move || {
+        for conn in 0..conns {
+            let mut client = WireClient::connect_with_retry(&addr, conn % clients as u32, 20)
+                .unwrap_or_else(|e| panic!("connection {conn}: {e}"));
+            let key = format!("k{conn}");
+            let (prev, _, _) = client
+                .put(&key, &format!("v{conn}"))
+                .unwrap_or_else(|e| panic!("connection {conn}: put: {e}"));
+            assert_eq!(value_of(&prev), None, "{key} written twice");
+            let got = client
+                .get(&key)
+                .unwrap_or_else(|e| panic!("connection {conn}: get: {e}"));
+            assert_eq!(value_of(&got), Some(format!("v{conn}").as_str()), "{key}");
+        }
+        done.send(()).unwrap();
+    });
+    // A server that stops answering must fail the test, not hang it; killing
+    // the server (on drop) then unblocks the client loop.
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(120)) {
+        panic!("the server stopped answering before {conns} connections");
+    }
+    if let Err(panic) = clients_loop.join() {
+        std::panic::resume_unwind(panic);
+    }
+    let mut reader = WireClient::connect_with_retry(&server.addr, 0, 20).expect("reconnect");
+    let stats = reader.stats().expect("STATS after the run");
+    assert_eq!(stats.combined_ops, conns as u64);
     server.kill();
 }
